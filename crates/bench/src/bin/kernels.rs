@@ -16,6 +16,10 @@
 //! - quant-kv8: ≥ 1.8× the scalar block capacity at equal cache bytes
 //!   (asserted through `BlockSpaceManager`, not just arithmetic) and a
 //!   strictly larger max concurrent batch in the engine simulation;
+//! - per backend: block-native prefill attention bit-identical to the
+//!   contiguous causal kernel over gathered K/V, at the global pool width
+//!   and on one thread (the pooled-vs-1-thread time ratio is recorded,
+//!   not gated);
 //! - JSON round-trip of every record.
 
 use std::time::Instant;
@@ -24,8 +28,8 @@ use vllm_core::{BlockSpaceManager, CacheConfig, LlmEngine, SamplingParams, Sched
 use vllm_model::backend::{self, BackendKind, KvElement, KvLayout};
 use vllm_model::ops::{self, timing};
 use vllm_model::{
-    paged_attention_decode, pool, CpuModelExecutor, DecodeInput, KvPool, ModelConfig,
-    PositionEncoding, Transformer,
+    contiguous_causal_attention, paged_attention_decode, paged_attention_prefill, pool,
+    CpuModelExecutor, DecodeInput, KvPool, ModelConfig, PositionEncoding, Transformer, WorkerPool,
 };
 
 /// Decode batch width the CI gate is defined over.
@@ -59,6 +63,13 @@ const SIM_PROMPT: usize = 24;
 const SIM_GEN: usize = 16;
 /// f32 KV blocks the simulation's memory budget is defined over.
 const SIM_F32_BLOCKS: usize = 20;
+/// Prompt length of the prefill-attention microbench (a long multi-turn
+/// chat prompt).
+const PREFILL_ATTN_CTX: usize = 768;
+/// Rows per chunk in the prefill-attention microbench.
+const PREFILL_ATTN_CHUNK: usize = 256;
+/// Timed passes over the whole prompt per prefill-attention path.
+const PREFILL_ATTN_ITERS: usize = 5;
 
 /// A mid-size model: big enough that weight traffic dominates, small
 /// enough to bench in seconds.
@@ -184,14 +195,20 @@ struct BackendReport {
     num_gpu_blocks_at_budget: usize,
     block_capacity_ratio_vs_scalar: f64,
     max_concurrent_batch: usize,
+    prefill_attention_ctx: usize,
+    prefill_attention_pooled_ns: f64,
+    prefill_attention_serial_ns: f64,
+    prefill_attention_pool_speedup: f64,
+    prefill_attention_gather_ns: f64,
     threads: usize,
     configured_threads: usize,
     logits_match: bool,
+    prefill_attention_match: bool,
 }
 
 impl BackendReport {
-    /// One-line flat JSON document: a `backend` string, numbers, and one
-    /// boolean; no nesting so the round-trip parser stays trivial.
+    /// One-line flat JSON document: a `backend` string, numbers, and two
+    /// booleans; no nesting so the round-trip parser stays trivial.
     fn to_json(&self) -> String {
         let mut s = format!("{{\"backend\":\"{}\",", self.backend);
         let push_num = |s: &mut String, key: &str, v: f64| {
@@ -266,9 +283,37 @@ impl BackendReport {
             "max_concurrent_batch",
             self.max_concurrent_batch as f64,
         );
+        push_num(
+            &mut s,
+            "prefill_attention_ctx",
+            self.prefill_attention_ctx as f64,
+        );
+        push_num(
+            &mut s,
+            "prefill_attention_pooled_ns",
+            self.prefill_attention_pooled_ns,
+        );
+        push_num(
+            &mut s,
+            "prefill_attention_serial_ns",
+            self.prefill_attention_serial_ns,
+        );
+        push_num(
+            &mut s,
+            "prefill_attention_pool_speedup",
+            self.prefill_attention_pool_speedup,
+        );
+        push_num(
+            &mut s,
+            "prefill_attention_gather_ns",
+            self.prefill_attention_gather_ns,
+        );
         push_num(&mut s, "threads", self.threads as f64);
         push_num(&mut s, "configured_threads", self.configured_threads as f64);
-        s.push_str(&format!("\"logits_match\":{}}}", self.logits_match));
+        s.push_str(&format!(
+            "\"logits_match\":{},\"prefill_attention_match\":{}}}",
+            self.logits_match, self.prefill_attention_match
+        ));
         s
     }
 }
@@ -386,6 +431,105 @@ fn max_concurrent_batch(kind: BackendKind) -> usize {
     max_running
 }
 
+/// One backend's prefill-attention timings (ns per whole-prompt pass).
+struct PrefillAttentionBench {
+    pooled_ns: f64,
+    serial_ns: f64,
+    gather_ns: f64,
+    bit_identical: bool,
+}
+
+/// Prefill-attention microbench in the serving model's attention shape
+/// (`ModelConfig::small`: 8 heads × 8): a [`PREFILL_ATTN_CTX`]-token
+/// prompt attended in [`PREFILL_ATTN_CHUNK`]-row chunks through a
+/// scrambled block table of this backend's KV layout. Times the
+/// block-native kernel on the global pool and on a 1-thread pool, and the
+/// gather-then-contiguous reference it replaced; checks that both pool
+/// widths are bit-identical to that reference.
+fn bench_prefill_attention(kind: BackendKind) -> PrefillAttentionBench {
+    let cfg = ModelConfig::small();
+    let (n_heads, head_dim, hidden) = (cfg.n_heads, cfg.head_dim(), cfg.hidden);
+    let element = backend::by_kind(kind).kv_layout().element;
+    let n_blocks = PREFILL_ATTN_CTX.div_ceil(BLOCK_SIZE);
+    let mut kv = KvPool::with_element(1, n_blocks + 1, BLOCK_SIZE, hidden, element);
+    let table: Vec<usize> = (0..n_blocks)
+        .map(|j| (j * 7 + 3) % (n_blocks + 1))
+        .collect();
+    let mut state = 0x9e37_79b9_u64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        (state % 2000) as f32 / 1000.0 - 1.0
+    };
+    for t in 0..PREFILL_ATTN_CTX {
+        let k: Vec<f32> = (0..hidden).map(|_| next()).collect();
+        let v: Vec<f32> = (0..hidden).map(|_| next()).collect();
+        kv.write(0, table[t / BLOCK_SIZE], t % BLOCK_SIZE, &k, &v);
+    }
+    let q: Vec<f32> = (0..PREFILL_ATTN_CTX * hidden).map(|_| next()).collect();
+    let chunks: Vec<(usize, usize)> = (0..PREFILL_ATTN_CTX)
+        .step_by(PREFILL_ATTN_CHUNK)
+        .map(|c| (c, PREFILL_ATTN_CHUNK.min(PREFILL_ATTN_CTX - c)))
+        .collect();
+    let paged = |workers: &WorkerPool, out: &mut [f32]| {
+        for &(c, nq) in &chunks {
+            paged_attention_prefill(
+                &q[c * hidden..(c + nq) * hidden],
+                &kv,
+                0,
+                &table,
+                nq,
+                c + nq,
+                c,
+                n_heads,
+                head_dim,
+                workers,
+                &mut out[c * hidden..(c + nq) * hidden],
+            );
+        }
+    };
+    let gathered = |out: &mut [f32]| {
+        for &(c, nq) in &chunks {
+            let (ks, vs) = kv.gather(0, &table, c + nq);
+            contiguous_causal_attention(
+                &q[c * hidden..(c + nq) * hidden],
+                &ks,
+                &vs,
+                nq,
+                c + nq,
+                c,
+                n_heads,
+                head_dim,
+                &mut out[c * hidden..(c + nq) * hidden],
+            );
+        }
+    };
+    let time = |f: &mut dyn FnMut(&mut [f32])| -> (f64, Vec<f32>) {
+        let mut out = vec![0.0f32; PREFILL_ATTN_CTX * hidden];
+        f(&mut out);
+        let t0 = Instant::now();
+        for _ in 0..PREFILL_ATTN_ITERS {
+            f(&mut out);
+        }
+        (
+            t0.elapsed().as_nanos() as f64 / PREFILL_ATTN_ITERS as f64,
+            out,
+        )
+    };
+    let one = WorkerPool::new(1);
+    let (gather_ns, reference) = time(&mut |out| gathered(out));
+    let (serial_ns, serial) = time(&mut |out| paged(&one, out));
+    let (pooled_ns, pooled) = time(&mut |out| paged(pool::global(), out));
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+    PrefillAttentionBench {
+        pooled_ns,
+        serial_ns,
+        gather_ns,
+        bit_identical: bits(&serial) == bits(&reference) && bits(&pooled) == bits(&reference),
+    }
+}
+
 /// Measures one backend's decode paths against the shared seed baseline.
 fn run_backend_bench(
     kind: BackendKind,
@@ -476,6 +620,7 @@ fn run_backend_bench(
 
     let gemm_ns = bench_gemm_serial(kind);
     let (bytes_per_block, blocks_at_budget) = capacity_at_budget(kind);
+    let prefill = bench_prefill_attention(kind);
 
     let decoded_tokens = (BATCH * DECODE_STEPS) as f64;
     let per_seq_tps = decoded_tokens / per_seq_elapsed.as_secs_f64();
@@ -503,9 +648,15 @@ fn run_backend_bench(
         num_gpu_blocks_at_budget: blocks_at_budget,
         block_capacity_ratio_vs_scalar: blocks_at_budget as f64 / scalar_blocks as f64,
         max_concurrent_batch: max_concurrent_batch(kind),
+        prefill_attention_ctx: PREFILL_ATTN_CTX,
+        prefill_attention_pooled_ns: prefill.pooled_ns,
+        prefill_attention_serial_ns: prefill.serial_ns,
+        prefill_attention_pool_speedup: prefill.serial_ns / prefill.pooled_ns,
+        prefill_attention_gather_ns: prefill.gather_ns,
         threads: pool::global().parallelism(),
         configured_threads: pool::configured_threads(),
         logits_match,
+        prefill_attention_match: prefill.bit_identical,
     }
 }
 
@@ -580,6 +731,15 @@ fn print_report(r: &BackendReport) {
     println!(
         "  max concurrent batch in sim ({} reqs, equal bytes): {}",
         SIM_REQUESTS, r.max_concurrent_batch
+    );
+    println!(
+        "  prefill attention ({}-token prompt): {:.0} ns pooled, {:.0} ns on 1 thread ({:.2}x), {:.0} ns gather+contiguous; bit-identical: {}",
+        r.prefill_attention_ctx,
+        r.prefill_attention_pooled_ns,
+        r.prefill_attention_serial_ns,
+        r.prefill_attention_pool_speedup,
+        r.prefill_attention_gather_ns,
+        r.prefill_attention_match
     );
     println!(
         "  kernel counters over batched phase: matmul {} ns/{} calls, attention {} ns/{} calls, logits {} ns/{} calls",
@@ -661,6 +821,13 @@ fn main() {
             ),
         );
         check(
+            r.prefill_attention_match,
+            &format!(
+                "{}: prefill attention is not bit-identical to the contiguous kernel over gathered K/V",
+                r.backend
+            ),
+        );
+        check(
             r.kernel_matmul_calls > 0
                 && r.kernel_paged_attention_calls > 0
                 && r.kernel_logits_calls > 0,
@@ -728,6 +895,11 @@ fn main() {
                 r.num_gpu_blocks_at_budget as f64,
             ),
             ("max_concurrent_batch", r.max_concurrent_batch as f64),
+            ("prefill_attention_pooled_ns", r.prefill_attention_pooled_ns),
+            (
+                "prefill_attention_pool_speedup",
+                r.prefill_attention_pool_speedup,
+            ),
             ("threads", r.threads as f64),
             ("configured_threads", r.configured_threads as f64),
         ];

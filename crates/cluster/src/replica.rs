@@ -47,6 +47,10 @@ pub const DEFAULT_MAX_INFLIGHT: usize = 1024;
 /// The `retry_after` hint (seconds) carried by backpressure rejections.
 pub const REJECT_RETRY_AFTER: f64 = 0.05;
 
+/// How long an idle engine loop blocks on its channel before re-checking
+/// the kill and shutdown flags. A command wakes it at once.
+const IDLE_TICK: Duration = Duration::from_millis(1);
+
 /// A snapshot of serving state published by a replica's engine loop after
 /// every iteration (the `/metrics` analog of production servers).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -359,6 +363,18 @@ impl Drop for Replica {
     }
 }
 
+/// Republishes the pool's prefix coverage when its version moved.
+fn publish_coverage<E: ModelExecutor>(
+    engine: &LlmEngine<E>,
+    version: &mut Option<u64>,
+    coverage: &Mutex<Arc<Vec<u64>>>,
+) {
+    if *version != Some(engine.prefix_pool().version()) {
+        *version = Some(engine.prefix_pool().version());
+        *coverage.lock() = Arc::new(engine.prefix_coverage());
+    }
+}
+
 /// Builds a serving snapshot from the engine's current state.
 fn snapshot_stats<E: ModelExecutor>(engine: &LlmEngine<E>, finished_total: u64) -> EngineStats {
     let scheduler = engine.scheduler();
@@ -404,10 +420,15 @@ struct EngineLoopFlags<'a> {
 /// outputs back to their reply channels.
 ///
 /// A fresh [`EngineStats`] snapshot (and refreshed telemetry gauges) is
-/// published on startup, after admitting requests, after every iteration,
-/// and when the engine drains — never only at step boundaries, so load
-/// queries reflect completions even while the loop sits idle. The prefix
-/// coverage snapshot is recomputed only when the pool's version changes.
+/// published on startup, after admitting requests, after every prefix op
+/// (before its reply), after every iteration, and when the engine drains —
+/// never only at step boundaries, so load queries reflect completions and
+/// prefix releases even while the loop sits idle. The prefix coverage
+/// snapshot is recomputed only when the pool's version changes.
+///
+/// An idle loop blocks on its channel for at most [`IDLE_TICK`], so a
+/// command is handled as soon as it arrives and the kill and shutdown
+/// flags are still re-checked every tick.
 ///
 /// The loop exits when the shutdown flag is set (or every sender is gone)
 /// *and* all accepted work has finished — or immediately when the kill
@@ -422,6 +443,9 @@ fn engine_loop<E: ModelExecutor>(
     let mut pending: Vec<(String, Sender<EngineReply>)> = Vec::new();
     let mut finished_total: u64 = 0;
     let mut coverage_version: Option<u64> = None;
+    // A command the idle wait received, handled at the next iteration (after
+    // the kill check, like everything else in the channel).
+    let mut woke: Option<EngineCommand> = None;
     // Seed the snapshot (and the registry's gauges) so load/metrics queries
     // are meaningful before the first request arrives.
     let _ = engine.metrics_snapshot();
@@ -434,7 +458,7 @@ fn engine_loop<E: ModelExecutor>(
             for (_, reply) in pending.drain(..) {
                 let _ = reply.send(Err(VllmError::Unavailable("replica killed".into())));
             }
-            while let Ok(cmd) = rx.try_recv() {
+            for cmd in woke.take().into_iter().chain(rx.try_iter()) {
                 match cmd {
                     EngineCommand::Generate(req) => {
                         let _ = req
@@ -451,18 +475,23 @@ fn engine_loop<E: ModelExecutor>(
             *stats.lock() = snapshot_stats(&engine, finished_total);
             return;
         }
-        if coverage_version != Some(engine.prefix_pool().version()) {
-            coverage_version = Some(engine.prefix_pool().version());
-            *coverage.lock() = Arc::new(engine.prefix_coverage());
-        }
+        publish_coverage(&engine, &mut coverage_version, coverage);
         // Admit everything that arrived since the last iteration. A closed
         // channel is not an exit condition by itself: accepted work still
         // drains below.
         let mut admitted = false;
         let mut disconnected = false;
         loop {
-            match rx.try_recv() {
-                Ok(EngineCommand::Generate(req)) => {
+            let cmd = match woke.take().map_or_else(|| rx.try_recv(), Ok) {
+                Ok(cmd) => cmd,
+                Err(TryRecvError::Empty) => break,
+                Err(TryRecvError::Disconnected) => {
+                    disconnected = true;
+                    break;
+                }
+            };
+            match cmd {
+                EngineCommand::Generate(req) => {
                     if pending.len() >= flags.max_inflight {
                         // Bounded admission: explicit backpressure instead
                         // of silent queueing.
@@ -485,7 +514,7 @@ fn engine_loop<E: ModelExecutor>(
                         }
                     }
                 }
-                Ok(EngineCommand::Prefix(p)) => {
+                EngineCommand::Prefix(p) => {
                     // Control plane: synchronous, exempt from the in-flight
                     // bound.
                     let result = match p.op {
@@ -502,12 +531,11 @@ fn engine_loop<E: ModelExecutor>(
                             engine.release_prefix(id).map(|()| PrefixReply::Released)
                         }
                     };
+                    // Whoever receives the reply must find the op's effect
+                    // (pinned or freed blocks, coverage) already published.
+                    publish_coverage(&engine, &mut coverage_version, coverage);
+                    *stats.lock() = snapshot_stats(&engine, finished_total);
                     let _ = p.reply.send(result);
-                }
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => {
-                    disconnected = true;
-                    break;
                 }
             }
         }
@@ -518,7 +546,9 @@ fn engine_loop<E: ModelExecutor>(
             if flags.shutdown.load(Ordering::SeqCst) || disconnected {
                 break; // Drained: nothing queued, nothing in flight.
             }
-            std::thread::sleep(Duration::from_millis(1));
+            // Idle: wake on the next command, or after one tick to re-check
+            // the kill and shutdown flags.
+            woke = rx.recv_timeout(IDLE_TICK).ok();
             continue;
         }
         let outputs = match engine.step() {
@@ -605,6 +635,26 @@ mod tests {
         }
         assert_eq!(replica.stats().finished, 1);
         assert!(replica.stats().total_blocks > 0);
+    }
+
+    #[test]
+    fn prefix_ops_republish_stats_before_replying() {
+        let replica = Replica::spawn(0, small_engine());
+        let Ok(PrefixReply::Registered { id }) = replica.prefix_op(PrefixOp::Register {
+            tokens: (1..=8).collect(),
+        }) else {
+            panic!("register failed");
+        };
+        // No request and no polling: the reply itself orders the snapshot.
+        let total = replica.stats().total_blocks;
+        assert_eq!(total, 64);
+        assert_eq!(replica.stats().free_blocks, total - 2);
+        assert!(matches!(
+            replica.prefix_op(PrefixOp::Release { id }),
+            Ok(PrefixReply::Released)
+        ));
+        assert_eq!(replica.stats().free_blocks, total);
+        assert_eq!(replica.stats().steps, 0, "no engine step ran");
     }
 
     #[test]

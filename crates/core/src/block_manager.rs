@@ -607,6 +607,21 @@ impl BlockSpaceManager {
         Ok(anchors)
     }
 
+    /// Takes one more prefix-cache anchor reference on each of `blocks`:
+    /// a prefix registered on top of a resident one shares its whole
+    /// blocks instead of recomputing them. Released with
+    /// [`Self::free_anchor_blocks`] like any anchor.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`VllmError::InvalidBlock`] if a block is not allocated.
+    pub fn share_anchor_blocks(&mut self, blocks: &[PhysicalBlockId]) -> Result<()> {
+        for &b in blocks {
+            self.gpu.incr_ref(b)?;
+        }
+        Ok(())
+    }
+
     /// Releases prefix-cache anchor blocks allocated with
     /// [`Self::allocate_anchor_blocks`].
     ///

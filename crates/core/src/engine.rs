@@ -30,6 +30,7 @@ use vllm_telemetry::{
     splitmix64, trace_seed, EventKind, MetricsSnapshot, SloMonitor, Span, Telemetry, TraceContext,
 };
 
+use crate::block::PhysicalBlockId;
 use crate::block_manager::PoolRemap;
 use crate::config::{CacheConfig, SchedulerConfig};
 use crate::elastic::{ElasticController, PoolPressure};
@@ -653,6 +654,13 @@ impl<E: ModelExecutor> LlmEngine<E> {
     /// KV-only prefill so later prompts that start with `tokens` skip the
     /// prefix computation and share its blocks.
     ///
+    /// When a computed prefix `tokens` extends is already resident, its
+    /// whole blocks are shared rather than recomputed and the warm-up
+    /// covers only the rest, as a prefill chunk over the cached rows. KV at
+    /// a position depends only on the tokens up to it, and a chunk's rows
+    /// are bit-identical to the same rows of a whole-prompt prefill, so the
+    /// result equals a from-scratch registration.
+    ///
     /// This is an offline provisioning step; it does not advance the serving
     /// clock.
     ///
@@ -666,10 +674,17 @@ impl<E: ModelExecutor> LlmEngine<E> {
         }
         let bs = self.cache_config.block_size;
         let n = tokens.len().div_ceil(bs);
-        let blocks = self
-            .scheduler
-            .block_manager_mut()
-            .allocate_anchor_blocks(n)?;
+        let shared: Vec<PhysicalBlockId> = self
+            .prefix_pool
+            .match_prompt(&tokens)
+            .and_then(|pid| self.prefix_pool.get(pid))
+            .map(|p| p.blocks[..p.len() / bs].to_vec())
+            .unwrap_or_default();
+        let bm = self.scheduler.block_manager_mut();
+        let fresh = bm.allocate_anchor_blocks(n - shared.len())?;
+        bm.share_anchor_blocks(&shared)?;
+        let blocks: Vec<PhysicalBlockId> = shared.iter().chain(&fresh).copied().collect();
+        let num_cached_tokens = shared.len() * bs;
         let warmup = StepPlan {
             is_prompt_run: true,
             items: vec![SeqStepInput {
@@ -678,17 +693,25 @@ impl<E: ModelExecutor> LlmEngine<E> {
                 seq_id: u64::MAX - self.prefix_pool.len() as u64,
                 tokens: tokens.clone(),
                 first_position: 0,
-                num_cached_tokens: 0,
+                num_cached_tokens,
                 block_table: blocks.clone(),
                 num_candidates: 0,
                 mode: DecodingMode::Greedy,
                 seed: 0,
-                chunked: false,
+                // A warm-up over cached rows is a prefill chunk: it must
+                // keep the prefill kernel even for a one-row remainder.
+                chunked: num_cached_tokens > 0,
             }],
             block_size: bs,
             ..StepPlan::default()
         };
-        self.executor.begin_step(&warmup)?;
+        if let Err(e) = self.executor.begin_step(&warmup) {
+            // A failed warm-up must not leak the anchors.
+            self.scheduler
+                .block_manager_mut()
+                .free_anchor_blocks(&blocks)?;
+            return Err(e);
+        }
         let id = self.prefix_pool.insert(tokens, blocks);
         self.prefix_pool.mark_computed(id);
         Ok(id)

@@ -5,7 +5,13 @@
 //! accumulator, exactly mirroring the blockwise decomposition of Eq. 4: per
 //! block it computes the score row `A_ij = softmax(q·K_j)` contribution and
 //! accumulates `V_j A_ij` without materializing the full attention row.
+//!
+//! The prompt phase (§4.3) has its own block-native kernel,
+//! [`paged_attention_prefill`]: it also reads K/V in place through the
+//! block table, splits (row, head) pairs across the worker pool, and is
+//! bit-identical to [`contiguous_causal_attention`] over gathered K/V.
 
+use crate::backend::KvElement;
 use crate::kv_cache::KvPool;
 use crate::ops::{axpy, dot, softmax, timing};
 use crate::pool::WorkerPool;
@@ -64,23 +70,46 @@ pub fn contiguous_causal_attention(
     }
 }
 
+/// Query rows of one head a prefill task processes together: every K/V
+/// block a tile reads (and, for int8 pools, dequantizes) is reused by all
+/// of its rows, so block reads cost `1 / PREFILL_ROW_TILE` of the scores.
+const PREFILL_ROW_TILE: usize = 16;
+
+/// Keys scored together, one per lane, against a key panel.
+const SCORE_LANES: usize = 8;
+
+/// Head-dimension lanes a value accumulation keeps in registers.
+const VALUE_LANES: usize = 8;
+
 /// Prefill attention over paged K/V (whole prompts and scheduler-budgeted
-/// chunks): gathers the first `context_len` positions through the block
-/// table — dequantizing as the pool's layout requires — then runs the
-/// contiguous causal kernel over query rows `num_cached .. num_cached + nq`.
-/// Rows attend to every prior chunk's KV plus a causal intra-chunk mask.
+/// chunks), block-native and pool-parallel: query rows `num_cached ..
+/// num_cached + nq` attend causally to K/V read in place through the block
+/// table — every prior chunk's KV plus a causal intra-chunk mask.
 ///
-/// Determinism contract: per row, score and output accumulation orders are
-/// functions of the reduction index alone (k-order [`dot`], t-order
-/// [`axpy`]), so a row's output depends only on its query and KV
-/// `[0 ..= row]` — never on which chunk the row arrived in or what else is
-/// batched. This is the property that makes chunked prefill logits
-/// bit-identical to an unchunked prefill on every backend.
+/// The (query row × head) space is split across `workers` into contiguous
+/// row-major ranges of equal causal cost (row `i` costs `num_cached + i +
+/// 1`), so each task owns one contiguous slice of `out`. A task walks its
+/// rows head by head in tiles of [`PREFILL_ROW_TILE`]; per tile and block
+/// it copies the head's keys into a `head_dim × block_size` panel (int8
+/// pools dequantize with [`KvPool::gather`]'s `f32::from(q) * scale`),
+/// scores every tile row against that panel one key per lane, and later
+/// accumulates the same block's values. Scratch is per task and reused
+/// across its tiles; nothing is sized to the whole context times `hidden`.
+///
+/// Determinism contract: each (row, head) computes exactly what
+/// [`contiguous_causal_attention`] computes over [`KvPool::gather`]ed K/V —
+/// every score is a k-order [`dot`] (one lane per key, `-0.0` plus each
+/// product in ascending `d`, the way `f32: Sum` folds), then [`softmax`]
+/// over `0 ..= pos`, then t-order [`axpy`]. A row's output therefore
+/// depends only on its query and KV `[0 ..= row]` — never on the pool
+/// width, the split, which chunk the row arrived in or what else is
+/// batched — which is what makes chunked prefill logits bit-identical to
+/// an unchunked prefill on every backend.
 ///
 /// # Panics
 ///
-/// Panics if shapes disagree or the block table does not cover
-/// `context_len`.
+/// Panics if shapes disagree, the queries reach past `context_len`, or the
+/// block table does not cover `context_len`.
 #[allow(clippy::too_many_arguments)]
 pub fn paged_attention_prefill(
     q: &[f32],
@@ -92,26 +121,310 @@ pub fn paged_attention_prefill(
     num_cached: usize,
     n_heads: usize,
     head_dim: usize,
+    workers: &WorkerPool,
     out: &mut [f32],
 ) {
+    let hidden = n_heads * head_dim;
+    assert_eq!(q.len(), nq * hidden);
+    assert_eq!(out.len(), nq * hidden);
+    assert_eq!(pool.hidden(), hidden);
+    assert!(
+        num_cached + nq <= context_len,
+        "queries attend beyond provided keys"
+    );
     assert!(
         block_table.len() * pool.block_size() >= context_len,
         "block table too short for prefill context"
     );
-    let t0 = std::time::Instant::now();
-    let (ks, vs) = pool.gather(layer, block_table, context_len);
-    contiguous_causal_attention(
+    let start = std::time::Instant::now();
+    let rows = PrefillRows {
         q,
-        &ks,
-        &vs,
-        nq,
-        context_len,
+        pool,
+        layer,
+        block_table,
         num_cached,
         n_heads,
         head_dim,
-        out,
-    );
-    timing::record_attention(t0.elapsed());
+    };
+    let bounds = causal_split(nq, num_cached, n_heads, workers.parallelism());
+    workers.scoped(|scope| {
+        let mut rest = &mut out[..];
+        for w in bounds.windows(2) {
+            let (chunk, tail) = rest.split_at_mut((w[1] - w[0]) * head_dim);
+            rest = tail;
+            let rows = &rows;
+            let (p0, p1) = (w[0], w[1]);
+            scope.spawn(move || rows.run(p0, p1, chunk));
+        }
+    });
+    timing::record_attention(start.elapsed());
+}
+
+/// `o[d] += w[t] * v[t][d]` for `t` ascending, where value row `t` is
+/// `v[t * v_stride + v_off ..][.. o.len()]`: per element, exactly the
+/// additions of one [`axpy`] call per `t`, with the accumulator kept in
+/// registers for [`VALUE_LANES`] elements at a time.
+#[inline(always)]
+fn accumulate_values(o: &mut [f32], w: &[f32], v: &[f32], v_stride: usize, v_off: usize) {
+    let hd = o.len();
+    let mut d = 0;
+    while d + VALUE_LANES <= hd {
+        let mut acc: [f32; VALUE_LANES] = o[d..d + VALUE_LANES].try_into().expect("one lane group");
+        for (t, &w_t) in w.iter().enumerate() {
+            let v0 = t * v_stride + v_off + d;
+            let v_t: &[f32; VALUE_LANES] =
+                v[v0..v0 + VALUE_LANES].try_into().expect("one lane group");
+            for (acc_l, &v_l) in acc.iter_mut().zip(v_t) {
+                *acc_l += w_t * v_l;
+            }
+        }
+        o[d..d + VALUE_LANES].copy_from_slice(&acc);
+        d += VALUE_LANES;
+    }
+    for (dd, o_d) in o.iter_mut().enumerate().skip(d) {
+        let mut acc = *o_d;
+        for (t, &w_t) in w.iter().enumerate() {
+            acc += w_t * v[t * v_stride + v_off + dd];
+        }
+        *o_d = acc;
+    }
+}
+
+/// Splits the row-major (row, head) pair space `0 .. nq * n_heads` into at
+/// most `tasks` contiguous ranges of near-equal causal cost, returned as
+/// ascending boundaries from `0` to `nq * n_heads`.
+fn causal_split(nq: usize, num_cached: usize, n_heads: usize, tasks: usize) -> Vec<usize> {
+    let pairs = nq * n_heads;
+    let tasks = tasks.clamp(1, pairs.max(1));
+    let cost = |row: usize| num_cached + row + 1;
+    let total: usize = (0..nq).map(|r| cost(r) * n_heads).sum();
+    let mut bounds = vec![0];
+    let mut acc = 0;
+    for p in 0..pairs {
+        acc += cost(p / n_heads);
+        // Close task `k` once the pairs so far cost `k / tasks` of the total.
+        let k = bounds.len();
+        if k < tasks && acc * tasks >= total * k {
+            bounds.push(p + 1);
+        }
+    }
+    if bounds.last() != Some(&pairs) {
+        bounds.push(pairs);
+    }
+    bounds
+}
+
+/// The shared, read-only inputs of one prefill call.
+struct PrefillRows<'a> {
+    q: &'a [f32],
+    pool: &'a KvPool,
+    layer: usize,
+    block_table: &'a [usize],
+    num_cached: usize,
+    n_heads: usize,
+    head_dim: usize,
+}
+
+/// One task's reusable scratch.
+#[derive(Default)]
+struct PrefillScratch {
+    /// `rows × stride` scores (then softmax weights) of the current tile.
+    scores: Vec<f32>,
+    /// The current block's keys for one head, `head_dim × block_size`.
+    k_panel: Vec<f32>,
+    /// The current block's values for one head (int8 pools only),
+    /// `block_size × head_dim`.
+    v_panel: Vec<f32>,
+}
+
+impl PrefillRows<'_> {
+    /// Computes pairs `p0 .. p1` into `out` (`(p1 - p0) × head_dim`).
+    fn run(&self, p0: usize, p1: usize, out: &mut [f32]) {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("avx2") {
+            // SAFETY: AVX2 support was just verified at runtime.
+            unsafe { self.run_avx2(p0, p1, out) };
+            return;
+        }
+        self.run_impl(p0, p1, out);
+    }
+
+    /// AVX2 instantiation of [`Self::run_impl`]: the same lane-wise
+    /// operations (no FMA contraction), so results are bit-equal.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn run_avx2(&self, p0: usize, p1: usize, out: &mut [f32]) {
+        self.run_impl(p0, p1, out);
+    }
+
+    #[inline(always)]
+    fn run_impl(&self, p0: usize, p1: usize, out: &mut [f32]) {
+        if p0 == p1 {
+            return;
+        }
+        let nh = self.n_heads;
+        let (first_row, last_row) = (p0 / nh, (p1 - 1) / nh);
+        let mut scratch = PrefillScratch::default();
+        for h in 0..nh {
+            // This task's rows for head `h`: a contiguous range, because
+            // the task's pairs are contiguous in row-major order.
+            let lo = first_row + usize::from(first_row * nh + h < p0);
+            let hi = last_row + usize::from(last_row * nh + h < p1);
+            let mut a = lo;
+            while a < hi {
+                let b = (a + PREFILL_ROW_TILE).min(hi);
+                self.tile(h, a, b, p0, out, &mut scratch);
+                a = b;
+            }
+        }
+    }
+
+    /// Rows `a .. b` of head `h`; `out` starts at pair `p0`.
+    #[inline(always)]
+    fn tile(
+        &self,
+        h: usize,
+        a: usize,
+        b: usize,
+        p0: usize,
+        out: &mut [f32],
+        scratch: &mut PrefillScratch,
+    ) {
+        let (hd, nh) = (self.head_dim, self.n_heads);
+        let hidden = nh * hd;
+        let ho = h * hd;
+        let bs = self.pool.block_size();
+        let scale = 1.0 / (hd as f32).sqrt();
+        // Row `a + r` sits at position `num_cached + a + r` and reads keys
+        // `0 ..= pos`; the tile's last row bounds every read.
+        let stride = self.num_cached + b;
+        let n_rows = b - a;
+        let ctx_of = |r: usize| self.num_cached + a + r + 1;
+        scratch.scores.clear();
+        scratch.scores.resize(n_rows * stride, 0.0);
+        // Panel rows are padded to whole lane groups; padding lanes hold
+        // stale keys whose scores are never stored.
+        let ps = bs.next_multiple_of(SCORE_LANES);
+        scratch.k_panel.resize(hd * ps, 0.0);
+
+        // Scores: one key per lane, each lane summing `q[d] * k[d]` in
+        // ascending `d` from `-0.0`, exactly as [`dot`] does, then scaled.
+        for (j, &block) in self.block_table.iter().enumerate() {
+            let t0 = j * bs;
+            if t0 >= stride {
+                break;
+            }
+            let fill = bs.min(stride - t0);
+            self.key_panel(block, ho, fill, ps, &mut scratch.k_panel);
+            for r in 0..n_rows {
+                let n = fill.min(ctx_of(r).saturating_sub(t0));
+                if n == 0 {
+                    continue;
+                }
+                let row = a + r;
+                let q_h = &self.q[row * hidden + ho..row * hidden + ho + hd];
+                let s = &mut scratch.scores[r * stride + t0..r * stride + t0 + n];
+                for c in (0..n).step_by(SCORE_LANES) {
+                    let mut acc = [-0.0f32; SCORE_LANES];
+                    for (d, &qd) in q_h.iter().enumerate() {
+                        let k: &[f32; SCORE_LANES] = scratch.k_panel
+                            [d * ps + c..d * ps + c + SCORE_LANES]
+                            .try_into()
+                            .expect("panel rows are padded to whole lane groups");
+                        for (acc_l, &k_l) in acc.iter_mut().zip(k) {
+                            *acc_l += qd * k_l;
+                        }
+                    }
+                    let end = n.min(c + SCORE_LANES);
+                    for (s_t, &acc_l) in s[c..end].iter_mut().zip(&acc) {
+                        *s_t = acc_l * scale;
+                    }
+                }
+            }
+        }
+        for r in 0..n_rows {
+            softmax(&mut scratch.scores[r * stride..r * stride + ctx_of(r)]);
+            let o0 = ((a + r) * nh + h - p0) * hd;
+            out[o0..o0 + hd].fill(0.0);
+        }
+
+        // Values: per row, `o += w[t] * v[t]` in ascending `t` — the same
+        // per-element order as [`axpy`] calls — with the row's output held
+        // in registers across each block.
+        for (j, &block) in self.block_table.iter().enumerate() {
+            let t0 = j * bs;
+            if t0 >= stride {
+                break;
+            }
+            let fill = bs.min(stride - t0);
+            let (v, v_stride, v_off) = self.value_rows(block, ho, fill, &mut scratch.v_panel);
+            for r in 0..n_rows {
+                let n = fill.min(ctx_of(r).saturating_sub(t0));
+                if n == 0 {
+                    continue;
+                }
+                let o0 = ((a + r) * nh + h - p0) * hd;
+                let w = &scratch.scores[r * stride + t0..r * stride + t0 + n];
+                accumulate_values(&mut out[o0..o0 + hd], w, v, v_stride, v_off);
+            }
+        }
+    }
+
+    /// Writes the keys of slots `0 .. fill` of `block` for the head at
+    /// offset `ho` into `panel` transposed (`panel[d * ps + slot]`).
+    #[inline(always)]
+    fn key_panel(&self, block: usize, ho: usize, fill: usize, ps: usize, panel: &mut [f32]) {
+        let (hd, hidden) = (self.head_dim, self.pool.hidden());
+        match self.pool.element() {
+            KvElement::F32 => {
+                let k = self.pool.key_block(self.layer, block);
+                for slot in 0..fill {
+                    let k_h = &k[slot * hidden + ho..slot * hidden + ho + hd];
+                    for (d, &x) in k_h.iter().enumerate() {
+                        panel[d * ps + slot] = x;
+                    }
+                }
+            }
+            KvElement::Int8Scaled => {
+                let (k, scales) = self.pool.key_block_q8(self.layer, block);
+                for slot in 0..fill {
+                    let k_h = &k[slot * hidden + ho..slot * hidden + ho + hd];
+                    let sc = scales[slot];
+                    for (d, &x) in k_h.iter().enumerate() {
+                        panel[d * ps + slot] = f32::from(x) * sc;
+                    }
+                }
+            }
+        }
+    }
+
+    /// The values of slots `0 .. fill` of `block` for the head at offset
+    /// `ho`, as `(rows, stride, offset)`: slot `s` is
+    /// `rows[s * stride + offset ..][.. head_dim]`. F32 blocks are read in
+    /// place; int8 blocks are dequantized into `panel`.
+    #[inline(always)]
+    fn value_rows<'p>(
+        &'p self,
+        block: usize,
+        ho: usize,
+        fill: usize,
+        panel: &'p mut Vec<f32>,
+    ) -> (&'p [f32], usize, usize) {
+        let (hd, hidden) = (self.head_dim, self.pool.hidden());
+        match self.pool.element() {
+            KvElement::F32 => (self.pool.value_block(self.layer, block), hidden, ho),
+            KvElement::Int8Scaled => {
+                let (v, scales) = self.pool.value_block_q8(self.layer, block);
+                panel.clear();
+                for slot in 0..fill {
+                    let v_h = &v[slot * hidden + ho..slot * hidden + ho + hd];
+                    let sc = scales[slot];
+                    panel.extend(v_h.iter().map(|&x| f32::from(x) * sc));
+                }
+                (&panel[..], hd, 0)
+            }
+        }
+    }
 }
 
 /// Single-query attention over contiguous K/V (the FasterTransformer-style
@@ -561,6 +874,21 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn causal_split_balances_cost_and_covers_every_pair() {
+        // 8 rows × 2 heads after 4 cached rows: costs 5..=12 per pair.
+        let bounds = causal_split(8, 4, 2, 3);
+        assert_eq!(bounds.first(), Some(&0));
+        assert_eq!(bounds.last(), Some(&16));
+        assert!(bounds.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(bounds.len(), 4, "three non-empty tasks");
+        // Later rows cost more, so later tasks get fewer pairs.
+        assert!(bounds[1] - bounds[0] > bounds[3] - bounds[2]);
+        // More tasks than pairs: one pair each.
+        assert_eq!(causal_split(1, 0, 2, 8), vec![0, 1, 2]);
+        assert_eq!(causal_split(0, 0, 2, 4), vec![0]);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! A [`KernelBackend`] owns every dense-kernel entry point the transformer
 //! uses — matmul (pool-dispatched and serial), the LM-head/logits
-//! projections, and PagedAttention decode (solo and batched) — plus the KV
-//! block storage layout ([`KvLayout`]) its attention kernel reads. The
+//! projections, PagedAttention decode (solo and batched) and prefill — plus
+//! the KV block storage layout ([`KvLayout`]) its attention kernel reads. The
 //! executor sizes the KV cache from the backend's byte-width, so a backend
 //! that stores KV in fewer bytes per token yields more blocks from the same
 //! memory budget (the paper's Fig. 12 capacity argument).
@@ -219,18 +219,19 @@ pub trait KernelBackend: Send + Sync + std::fmt::Debug {
         out: &mut [f32],
     );
 
-    /// PagedAttention over a prefill chunk (scheduler-budgeted chunked
-    /// prefill): query rows `num_cached .. num_cached + nq` attend to the
-    /// first `context_len` positions read through `block_table`. Every
-    /// backend routes this through the contiguous causal kernel after a
-    /// layout-aware gather, so per-row accumulation order is a function of
-    /// the reduction index alone and chunked logits are bit-identical to an
-    /// unchunked prefill.
+    /// PagedAttention over a prompt or prefill chunk: query rows
+    /// `num_cached .. num_cached + nq` attend causally to the first
+    /// `context_len` positions, read in place through `block_table`, with
+    /// the (row, head) space split across `workers`. Every backend shares
+    /// the one block-native kernel, [`crate::attention::paged_attention_prefill`]:
+    /// per row, score and output accumulation orders are functions of the
+    /// reduction index alone, so chunked logits are bit-identical to an
+    /// unchunked prefill at any pool width.
     ///
     /// # Panics
     ///
-    /// Panics if the block table is too short for `context_len`, shapes
-    /// disagree, or the pool's element type doesn't match the layout.
+    /// Panics if the block table is too short for `context_len` or shapes
+    /// disagree.
     #[allow(clippy::too_many_arguments)]
     fn paged_attention_prefill(
         &self,
@@ -243,6 +244,7 @@ pub trait KernelBackend: Send + Sync + std::fmt::Debug {
         num_cached: usize,
         n_heads: usize,
         head_dim: usize,
+        workers: &WorkerPool,
         out: &mut [f32],
     ) {
         crate::attention::paged_attention_prefill(
@@ -255,6 +257,7 @@ pub trait KernelBackend: Send + Sync + std::fmt::Debug {
             num_cached,
             n_heads,
             head_dim,
+            workers,
             out,
         );
     }

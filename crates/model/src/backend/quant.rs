@@ -162,36 +162,6 @@ impl KernelBackend for QuantKv8Backend {
         }
     }
 
-    fn paged_attention_prefill(
-        &self,
-        q: &[f32],
-        pool: &KvPool,
-        layer: usize,
-        block_table: &[usize],
-        nq: usize,
-        context_len: usize,
-        num_cached: usize,
-        n_heads: usize,
-        head_dim: usize,
-        out: &mut [f32],
-    ) {
-        // Gather dequantizes the int8 blocks back to f32 before the
-        // contiguous causal kernel runs, so chunked and unchunked prefill
-        // see byte-identical (dequantized) K/V and produce identical logits.
-        attention::paged_attention_prefill(
-            q,
-            pool,
-            layer,
-            block_table,
-            nq,
-            context_len,
-            num_cached,
-            n_heads,
-            head_dim,
-            out,
-        );
-    }
-
     fn paged_attention_decode_batch(
         &self,
         q: &[f32],

@@ -344,37 +344,6 @@ impl KernelBackend for SimdBackend {
         }
     }
 
-    fn paged_attention_prefill(
-        &self,
-        q: &[f32],
-        pool: &KvPool,
-        layer: usize,
-        block_table: &[usize],
-        nq: usize,
-        context_len: usize,
-        num_cached: usize,
-        n_heads: usize,
-        head_dim: usize,
-        out: &mut [f32],
-    ) {
-        // The SIMD decode path keeps its own per-head online-softmax kernel,
-        // but chunked prefill must preserve the k-order/t-order accumulation
-        // contract, so it shares the contiguous-gather path with every other
-        // backend.
-        attention::paged_attention_prefill(
-            q,
-            pool,
-            layer,
-            block_table,
-            nq,
-            context_len,
-            num_cached,
-            n_heads,
-            head_dim,
-            out,
-        );
-    }
-
     fn paged_attention_decode_batch(
         &self,
         q: &[f32],

@@ -491,9 +491,10 @@ impl KvPool {
     }
 
     /// Gathers the K and V vectors of positions `0..len` addressed through a
-    /// block table into contiguous `len × hidden` f32 buffers (used by
-    /// prefill over cached prefixes and by equivalence tests). Quantized
-    /// pools are dequantized on the way out.
+    /// block table into contiguous `len × hidden` f32 buffers: the reference
+    /// view equivalence tests and benches compare the paged kernels against.
+    /// Quantized pools are dequantized on the way out with the same
+    /// `f32::from(q) * scale` the prefill kernel uses.
     #[must_use]
     pub fn gather(&self, layer: usize, block_table: &[usize], len: usize) -> (Vec<f32>, Vec<f32>) {
         let mut ks = Vec::with_capacity(len * self.hidden);

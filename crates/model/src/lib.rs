@@ -39,7 +39,7 @@ pub mod transformer;
 
 pub use attention::{
     contiguous_attention_decode, contiguous_causal_attention, paged_attention_decode,
-    paged_attention_decode_batch, DecodeSeq,
+    paged_attention_decode_batch, paged_attention_prefill, DecodeSeq,
 };
 pub use backend::{BackendKind, KernelBackend, KvElement, KvLayout, BACKEND_ENV};
 pub use bpe::BpeTokenizer;

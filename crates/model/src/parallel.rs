@@ -22,7 +22,6 @@ use vllm_core::plan::StepPlan;
 
 use vllm_core::config::CacheConfig;
 
-use crate::attention::contiguous_causal_attention;
 use crate::config::PositionEncoding;
 use crate::executor::KernelTelemetry;
 use crate::kv_cache::KvCache;
@@ -219,7 +218,7 @@ impl TensorParallelExecutor {
     /// `tokens`/`positions` (see [`embed`]); `begin_step` computes it while
     /// the workers are still applying the step's cache operations.
     /// `force_prefill_attn` keeps one-row chunked-prefill steps on the
-    /// contiguous causal kernel (decode accumulation order differs and would
+    /// backend's prefill kernel (decode accumulation order differs and would
     /// break chunked/unchunked bit-identity).
     fn forward_tp(
         &mut self,
@@ -287,8 +286,8 @@ impl TensorParallelExecutor {
                             );
                         }
                         let mut attn = vec![0.0f32; n * hl];
-                        let t_attn = Instant::now();
                         if n == 1 && !force_prefill_attn {
+                            let t_attn = Instant::now();
                             be.paged_attention_decode(
                                 &qkv[0..hl],
                                 &worker.cache.gpu,
@@ -299,26 +298,29 @@ impl TensorParallelExecutor {
                                 hd,
                                 &mut attn,
                             );
+                            timing::record_attention(t_attn.elapsed());
                         } else {
-                            let (ks, vs) = worker.cache.gpu.gather(layer_idx, block_table, ctx);
+                            // The backend's prefill kernel records its own
+                            // attention span.
                             let mut q = vec![0.0f32; n * hl];
                             for i in 0..n {
                                 q[i * hl..(i + 1) * hl]
                                     .copy_from_slice(&qkv[i * 3 * hl..i * 3 * hl + hl]);
                             }
-                            contiguous_causal_attention(
+                            be.paged_attention_prefill(
                                 &q,
-                                &ks,
-                                &vs,
+                                &worker.cache.gpu,
+                                layer_idx,
+                                block_table,
                                 n,
                                 ctx,
                                 num_cached,
                                 heads_local,
                                 hd,
+                                pool::global(),
                                 &mut attn,
                             );
                         }
-                        timing::record_attention(t_attn.elapsed());
                         let t_mm = Instant::now();
                         be.matmul_serial(&attn, &shard.w_o, n, hl, h, partial);
                         timing::record_matmul(t_mm.elapsed());
@@ -726,6 +728,64 @@ mod tests {
                 );
             }
             assert_eq!(tp.num_all_reduces, 2 * cfg.n_layers as u64);
+        }
+    }
+
+    #[test]
+    fn tp_prompt_phase_matches_serial_for_every_backend() {
+        // A prompt in three chunks (the second starts mid-block, the last is
+        // one row) through each backend's prefill kernel: one worker is the
+        // serial forward bit for bit; sharded heads agree within rounding.
+        let tokens = [4u32, 9, 1, 17, 3, 8, 11, 2, 6];
+        let positions: Vec<usize> = (0..tokens.len()).collect();
+        let table: Vec<usize> = vec![5, 2, 7];
+        let chunks = [(0usize, 6usize), (6, 8), (8, 9)];
+        for kind in crate::backend::BackendKind::all() {
+            let cfg = ModelConfig {
+                backend: kind,
+                ..ModelConfig::tiny()
+            };
+            let serial = Transformer::new(cfg.clone());
+            let element = serial.backend().kv_layout().element;
+            let mut pool = KvPool::with_element(cfg.n_layers, 8, 4, cfg.hidden, element);
+            // Int8 shards quantize their own head slices, each with its own
+            // per-vector scale, so sharded KV differs by quantization error.
+            let tol = match element {
+                crate::backend::KvElement::F32 => 2e-3,
+                crate::backend::KvElement::Int8Scaled => 5e-2,
+            };
+            let expect: Vec<Vec<f32>> = chunks
+                .iter()
+                .map(|&(a, b)| {
+                    serial.forward_prefill_chunk(
+                        &tokens[a..b],
+                        &positions[a..b],
+                        &mut pool,
+                        &table,
+                        a,
+                    )
+                })
+                .collect();
+            for workers in [1, 2, 4] {
+                let mut tp = TensorParallelExecutor::new(
+                    Transformer::new(cfg.clone()),
+                    workers,
+                    &cache_cfg(),
+                );
+                for (&(a, b), want) in chunks.iter().zip(&expect) {
+                    let got = tp.forward_tp(&tokens[a..b], &positions[a..b], &table, a, None, true);
+                    if workers == 1 {
+                        assert_eq!(&got, want, "{}: chunk {a}..{b}", kind.name());
+                    }
+                    for (i, (x, y)) in want.iter().zip(&got).enumerate() {
+                        assert!(
+                            (x - y).abs() < tol,
+                            "{} workers={workers} chunk {a}..{b} logit {i}: {x} vs {y}",
+                            kind.name()
+                        );
+                    }
+                }
+            }
         }
     }
 

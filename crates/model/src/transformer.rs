@@ -292,9 +292,10 @@ impl Transformer {
                     &mut attn,
                 );
             } else {
-                // Prompt phase (whole prompt or one budgeted chunk): gather
-                // K/V (cached prefix + just-written tokens) and run
-                // conventional causal attention (§4.3) over the new rows.
+                // Prompt phase (whole prompt or one budgeted chunk): causal
+                // attention (§4.3) of the new rows over the cached prefix
+                // plus the just-written tokens, read through the block
+                // table and split across the kernel pool.
                 let mut q = vec![0.0f32; n * h];
                 for i in 0..n {
                     q[i * h..(i + 1) * h].copy_from_slice(&qkv[i * 3 * h..i * 3 * h + h]);
@@ -309,6 +310,7 @@ impl Transformer {
                     num_cached,
                     self.config.n_heads,
                     self.config.head_dim(),
+                    pool::global(),
                     &mut attn,
                 );
             }

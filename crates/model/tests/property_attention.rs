@@ -1,11 +1,24 @@
 //! Property tests for the attention kernels: the PagedAttention kernel must
 //! match the contiguous reference for arbitrary shapes, block sizes, and
-//! (scrambled) block tables, and attention outputs must be convex
-//! combinations of the value vectors.
+//! (scrambled) block tables, attention outputs must be convex
+//! combinations of the value vectors, and the block-native prefill kernel
+//! must be bit-identical to the contiguous causal kernel over gathered K/V
+//! at every pool width.
+
+use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use vllm_model::{contiguous_attention_decode, paged_attention_decode, KvPool};
+use vllm_model::{
+    contiguous_attention_decode, contiguous_causal_attention, paged_attention_decode,
+    paged_attention_prefill, KvElement, KvPool, WorkerPool,
+};
+
+/// Worker pools of width 1 ..= 4, built once for every case.
+fn pools() -> &'static [WorkerPool] {
+    static POOLS: OnceLock<Vec<WorkerPool>> = OnceLock::new();
+    POOLS.get_or_init(|| (1..=4).map(WorkerPool::new).collect())
+}
 
 fn fill(seed: u64, len: usize) -> Vec<f32> {
     let mut s = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
@@ -28,9 +41,22 @@ fn build_pool(
     hidden: usize,
     scramble: u64,
 ) -> (KvPool, Vec<usize>) {
+    build_pool_with(k, v, ctx, bs, hidden, scramble, KvElement::F32)
+}
+
+/// [`build_pool`] with a chosen KV element type.
+fn build_pool_with(
+    k: &[f32],
+    v: &[f32],
+    ctx: usize,
+    bs: usize,
+    hidden: usize,
+    scramble: u64,
+    element: KvElement,
+) -> (KvPool, Vec<usize>) {
     let n_blocks = ctx.div_ceil(bs);
     let extra = 3;
-    let mut pool = KvPool::new(1, n_blocks + extra, bs, hidden);
+    let mut pool = KvPool::with_element(1, n_blocks + extra, bs, hidden, element);
     let mut table: Vec<usize> = (0..n_blocks + extra).collect();
     // Fisher–Yates with a deterministic stream.
     let mut s = scramble | 1;
@@ -132,6 +158,63 @@ proptest! {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn prefill_bit_identical_to_contiguous_over_gather(
+        ctx in 1usize..120,
+        bs in 1usize..33,
+        n_heads in 1usize..5,
+        head_dim_pow in 0u32..5,
+        int8 in 0usize..2,
+        cached_kind in 0usize..4,
+        seed in 0u64..1000,
+    ) {
+        let head_dim = 1usize << head_dim_pow;
+        let hidden = n_heads * head_dim;
+        let element = if int8 == 1 { KvElement::Int8Scaled } else { KvElement::F32 };
+        // Cached prefix: none, mid-block, block-aligned, or all but one row
+        // (a one-row chunk).
+        let num_cached = match cached_kind {
+            0 => 0,
+            1 => {
+                let c = seed as usize % ctx;
+                c + usize::from(c.is_multiple_of(bs) && bs > 1)
+            }
+            2 => ((seed as usize % ctx) / bs) * bs,
+            _ => ctx - 1,
+        }
+        .min(ctx - 1);
+        let nq = ctx - num_cached;
+        let q = fill(seed, nq * hidden);
+        let k = fill(seed + 1, ctx * hidden);
+        let v = fill(seed + 2, ctx * hidden);
+        let (pool, table) = build_pool_with(&k, &v, ctx, bs, hidden, seed + 3, element);
+
+        let (ks, vs) = pool.gather(0, &table, ctx);
+        let mut reference = vec![0.0f32; nq * hidden];
+        contiguous_causal_attention(
+            &q, &ks, &vs, nq, ctx, num_cached, n_heads, head_dim, &mut reference,
+        );
+        let reference: Vec<u32> = reference.iter().map(|x| x.to_bits()).collect();
+        for workers in pools() {
+            let mut out = vec![f32::NAN; nq * hidden];
+            paged_attention_prefill(
+                &q, &pool, 0, &table, nq, ctx, num_cached, n_heads, head_dim, workers,
+                &mut out,
+            );
+            let bits: Vec<u32> = out.iter().map(|x| x.to_bits()).collect();
+            prop_assert_eq!(
+                &bits,
+                &reference,
+                "{:?} bs={} cached={} nq={} threads={}",
+                element,
+                bs,
+                num_cached,
+                nq,
+                workers.parallelism()
+            );
         }
     }
 }

@@ -22,7 +22,7 @@ cargo run --release -q -p vllm-bench --bin telemetry -- --ci
 echo "==> cluster routing check"
 cargo run --release -q -p vllm-bench --bin cluster -- --ci
 
-echo "==> kernel bench gate (all backends: batched >= 2x seed, simd GEMM >= 1.3x scalar, quant-kv8 blocks >= 1.8x at equal bytes)"
+echo "==> kernel bench gate (all backends: batched >= 2x seed, simd GEMM >= 1.3x scalar, quant-kv8 blocks >= 1.8x at equal bytes, prefill attention bit-identical to gather+contiguous at every pool width)"
 cargo run --release -q -p vllm-bench --bin kernels -- --ci
 
 echo "==> fault-injection soak gate (kill/swap-exhaust, zero loss, deterministic)"
@@ -38,5 +38,14 @@ cargo run --release -q -p vllm-bench --bin elastic -- --ci
 
 echo "==> chunked-prefill gate (mixed-traffic TTFT: short-request p99 halved at equal throughput; chunked vs unchunked bit-identity on all backends; 32k-prompt smoke, zero leaks)"
 cargo run --release -q -p vllm-bench --bin prefill -- --ci
+
+echo "==> serving benchmark tests"
+cargo test -q --offline --manifest-path servebench/Cargo.toml
+
+echo "==> serving benchmark correctness smoke (both gated workloads, 5 s each; a failed gate exits 1)"
+for workload in offline-sampling tcp-multiturn; do
+    cargo run --release -q --offline --manifest-path servebench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 5 --trace 0 | tail -n 1
+done
 
 echo "CI OK"

@@ -543,17 +543,22 @@ fn wants_handoff(shared: &Shared, request: &GenerationRequest) -> bool {
 /// What the prefill replica holds pinned before its stub runs.
 struct PrefillPrefix {
     id: PrefixId,
-    /// The tier entry's data when the prefix came from the shared tier
-    /// (`None` when it was registered fresh and must be exported after the
-    /// stub computes it).
+    /// The tier entry's data when the tier already held all of the wanted
+    /// prefix (`None` when the replica computed some of it, which must be
+    /// exported after the stub).
     tier: Option<(Vec<u32>, Vec<KvBlockBytes>)>,
 }
 
 /// Makes `want` (a block-aligned strict prefix of the prompt) resident on
-/// `replica`: installed from the cluster-shared tier on a published hit
-/// (skipping the recompute), registered fresh otherwise. Returns `None` on
-/// failure — callers degrade to running the full prompt phase.
+/// `replica`. The longest published tier prefix is installed (skipping its
+/// recompute); when it covers all of `want` it is the whole answer.
+/// Otherwise `want` is registered on top of it — the replica shares the
+/// installed blocks and computes only the rest — so the full prefix can be
+/// exported afterwards and the decode replica never recomputes it. Returns
+/// `None` on failure — callers degrade to running the full prompt phase.
 fn install_tier_prefix(shared: &Shared, replica: usize, want: &[u32]) -> Option<PrefillPrefix> {
+    // A tier hit shorter than `want`, installed and pinned.
+    let mut partial: Option<PrefillPrefix> = None;
     if let Some(tier) = &shared.tier {
         // Pin the entry only across the clone; the replica install works on
         // the copy, so eviction afterwards is safe.
@@ -574,18 +579,33 @@ fn install_tier_prefix(shared: &Shared, replica: usize, want: &[u32]) -> Option<
                     blocks: blocks.clone(),
                 })
             {
-                return Some(PrefillPrefix {
+                let full = tokens.len() == want.len();
+                let installed = PrefillPrefix {
                     id,
                     tier: Some((tokens, blocks)),
-                });
+                };
+                if full {
+                    return Some(installed);
+                }
+                partial = Some(installed);
             }
         }
     }
-    match shared.replicas[replica].prefix_op(PrefixOp::Register {
+    let registered = shared.replicas[replica].prefix_op(PrefixOp::Register {
         tokens: want.to_vec(),
-    }) {
-        Ok(PrefixReply::Registered { id }) => Some(PrefillPrefix { id, tier: None }),
-        _ => None,
+    });
+    match registered {
+        Ok(PrefixReply::Registered { id }) => {
+            // The registered prefix holds its own references on the shared
+            // blocks, so the tier part's pin can go now.
+            if let Some(p) = partial {
+                release_prefix_quiet(shared, replica, p.id);
+            }
+            Some(PrefillPrefix { id, tier: None })
+        }
+        // Registration failed: fall back to the tier part alone (the decode
+        // replica then recomputes the rest of `want`).
+        _ => partial,
     }
 }
 
@@ -693,10 +713,10 @@ fn handoff_attempt(
     }
     let t0 = first.expect("first token present");
 
-    // Collect the prefix KV for the decode install: already in hand on a
-    // tier hit, exported (and published to the tier for the rest of the
-    // fleet) otherwise. The prefill pin is dropped either way — the tier
-    // and the payload own copies.
+    // Collect the prefix KV for the decode install: already in hand when
+    // the tier held all of it, exported (and published to the tier for the
+    // rest of the fleet) otherwise. The prefill pin is dropped either way —
+    // the tier and the payload own copies.
     let mut kv: Option<(Vec<u32>, Vec<KvBlockBytes>)> = None;
     if let Some(p) = prefix {
         if let Some(data) = p.tier {

@@ -864,6 +864,96 @@ fn disaggregated_serving_matches_unified_output() {
     server.shutdown();
 }
 
+/// A [`CpuModelExecutor`] that counts the rows its prompt steps compute
+/// (cached prefix rows excluded), read from the executor's own counter.
+struct PromptRowCounter {
+    inner: CpuModelExecutor,
+    prompt_rows: std::sync::Arc<std::sync::atomic::AtomicU64>,
+}
+
+impl vllm::core::ModelExecutor for PromptRowCounter {
+    fn begin_step(
+        &mut self,
+        plan: &vllm::core::plan::StepPlan,
+    ) -> vllm::core::Result<vllm::core::executor::StepResult> {
+        let before = self.inner.tokens_processed;
+        let result = self.inner.begin_step(plan)?;
+        if plan.is_prompt_run {
+            self.prompt_rows.fetch_add(
+                self.inner.tokens_processed - before,
+                std::sync::atomic::Ordering::SeqCst,
+            );
+        }
+        Ok(result)
+    }
+
+    fn attach_telemetry(&mut self, telemetry: &std::sync::Arc<vllm::core::telemetry::Telemetry>) {
+        self.inner.attach_telemetry(telemetry);
+    }
+
+    fn backend_label(&self) -> &str {
+        self.inner.backend_label()
+    }
+
+    fn export_kv_blocks(
+        &self,
+        blocks: &[vllm::core::PhysicalBlockId],
+    ) -> Vec<vllm::core::KvBlockBytes> {
+        self.inner.export_kv_blocks(blocks)
+    }
+}
+
+/// A follow-up prompt whose longest published tier prefix is shorter than
+/// its own block-aligned prefix: the prefill replica computes the rest and
+/// ships the whole prefix, so the decode replica computes at most one
+/// block plus the stub token — and the tokens still match unified serving.
+#[test]
+fn partial_tier_hit_ships_the_full_prefix() {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Arc;
+    use vllm::cluster::ClusterConfig;
+
+    const BLOCK: usize = 16;
+    let first = "the quick brown fox jumps over the lazy dog";
+    let second = format!(
+        "{first} and then it ran far away across the wide green fields to find a quiet place"
+    );
+
+    let unified = spawn_server();
+    let mut c = Client::connect(unified.addr()).unwrap();
+    let expect = c.generate(&second, 24, 1, "greedy").unwrap();
+    unified.shutdown();
+
+    let engine = |prompt_rows: &Arc<AtomicU64>| {
+        let cache = CacheConfig::new(BLOCK, 256, 64).unwrap();
+        let sched = SchedulerConfig::new(2048, 64, 1024).unwrap();
+        let exec = PromptRowCounter {
+            inner: CpuModelExecutor::from_config(ModelConfig::small(), &cache),
+            prompt_rows: Arc::clone(prompt_rows),
+        };
+        LlmEngine::new(exec, cache, sched)
+    };
+    let decode_rows = Arc::new(AtomicU64::new(0));
+    let engines = vec![engine(&Arc::new(AtomicU64::new(0))), engine(&decode_rows)];
+    let cfg = ClusterConfig::disaggregated(1, 1).with_prefix_tier_blocks(128);
+    let server = Server::spawn_cluster("127.0.0.1:0", engines, cfg).expect("server binds");
+    let mut client = Client::connect(server.addr()).unwrap();
+
+    // Turn 1 publishes the first prompt's block-aligned prefix.
+    client.generate(first, 8, 1, "greedy").unwrap();
+    let before = decode_rows.load(Ordering::SeqCst);
+    // Turn 2: the tier holds only the first prompt's prefix.
+    let outs = client.generate(&second, 24, 1, "greedy").unwrap();
+    let rows = decode_rows.load(Ordering::SeqCst) - before;
+    assert_eq!(outs[0].text, expect[0].text, "tokens must match unified");
+    assert!(
+        rows <= BLOCK as u64 + 1,
+        "decode replica computed {rows} prompt rows, at most {} expected",
+        BLOCK + 1
+    );
+    server.shutdown();
+}
+
 /// The `HANDOFF` verb installs an externally serialized KV prefix into the
 /// decode pool and publishes it to the tier, so a later `GENERATE`
 /// extending those tokens reuses it.
